@@ -10,6 +10,7 @@
 #include "ops/join.h"
 #include "ops/project.h"
 #include "ops/select.h"
+#include "pattern/instance.h"
 #include "pattern/negation.h"
 #include "pattern/sequence.h"
 #include "stream/batch.h"
@@ -340,6 +341,51 @@ void BM_UnlessDetect(benchmark::State& state) {
       static_cast<int64_t>(positives.size() + blockers.size()));
 }
 BENCHMARK(BM_UnlessDetect)->DenseRange(0, 2)->ArgName("level");
+
+// CompositeIndex retirement at a steady live size: each iteration
+// records kPerTrim composites and trims as many expired ones. The cost
+// per iteration should stay flat as the live size grows.
+void BM_CompositeIndexTrim(benchmark::State& state) {
+  const int64_t live = state.range(0);
+  constexpr int64_t kPerTrim = 16;
+  // Contributor pairs reused round-robin: a slot's previous composite
+  // has been trimmed by the time the slot comes round again.
+  const int64_t slots = live + kPerTrim;
+  std::vector<std::vector<EventRef>> lineage;
+  lineage.reserve(static_cast<size_t>(slots));
+  for (int64_t s = 0; s < slots; ++s) {
+    auto id = static_cast<EventId>(2 * s + 1);
+    lineage.push_back({std::make_shared<const Event>(MakeEvent(id, s, s + 1)),
+                       std::make_shared<const Event>(
+                           MakeEvent(id + 1, s + 1, s + 2))});
+  }
+  // Composite i lives [i, i + live).
+  auto record = [&](CompositeIndex* index, int64_t i) {
+    Event c;
+    c.id = static_cast<EventId>(i + 1);
+    c.vs = i;
+    c.ve = i + live;
+    c.cbt = lineage[static_cast<size_t>(i % slots)];
+    index->Record(c);
+  };
+  CompositeIndex index;
+  int64_t next = 0;
+  for (; next < live; ++next) record(&index, next);
+  for (auto _ : state) {
+    for (int64_t j = 0; j < kPerTrim; ++j) record(&index, next++);
+    index.Trim(next - 1);
+    benchmark::DoNotOptimize(index.size());
+  }
+  if (index.size() != static_cast<size_t>(live)) {
+    state.SkipWithError("live size drifted");
+  }
+  state.SetItemsProcessed(state.iterations() * kPerTrim);
+}
+BENCHMARK(BM_CompositeIndexTrim)
+    ->Arg(64)
+    ->Arg(1024)
+    ->Arg(16384)
+    ->ArgName("live");
 
 }  // namespace
 }  // namespace cedr

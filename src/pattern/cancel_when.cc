@@ -24,17 +24,10 @@ Status CancelWhenOp::ProcessInsert(const Event& e, int port) {
     core_->AddBlocker(e);
     return Status::OK();
   }
-  std::vector<Event> tuple;
-  if (!e.cbt.empty()) {
-    tuple.reserve(e.cbt.size());
-    for (const EventRef& c : e.cbt) tuple.push_back(*c);
-  } else {
-    tuple.push_back(e);
-  }
   Duration blocking = spec().max_blocking;
   Time resolve_at =
       blocking == kInfinity ? kInfinity : TimeAdd(e.vs, blocking);
-  core_->AddCandidate(e.id, e, std::move(tuple),
+  core_->AddCandidate(e.id, e, NegationTuple(e),
                       /*block_lo=*/e.rt, /*block_hi=*/e.vs,
                       /*certain_at=*/e.vs, resolve_at);
   core_->Advance(max_watermark(), input_guarantee());

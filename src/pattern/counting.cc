@@ -13,45 +13,47 @@ AtLeastOp::AtLeastOp(size_t n, int num_inputs, Duration scope,
                     std::move(name)),
       n_(n) {}
 
-Status AtLeastOp::OnNewCandidate(const Event& e, int port) {
+Status AtLeastOp::OnNewCandidate(const EventRef& e, int port) {
   if (n_ == 0 || n_ > static_cast<size_t>(num_inputs())) return Status::OK();
-  std::vector<const Event*> tuple;
-  std::vector<int> ports;
+  tuple_.clear();
+  refs_.clear();
+  ports_.clear();
   std::vector<bool> used(num_inputs(), false);
-  Extend(&tuple, &ports, &used, /*anchor_used=*/false, e, port);
+  Extend(&used, /*anchor_used=*/false, e, port);
   return Status::OK();
 }
 
-void AtLeastOp::Extend(std::vector<const Event*>* tuple,
-                       std::vector<int>* ports, std::vector<bool>* used,
-                       bool anchor_used, const Event& anchor,
-                       int anchor_port) {
-  if (tuple->size() == n_) {
-    if (anchor_used) EmitComposite(*tuple, *ports);
+void AtLeastOp::Extend(std::vector<bool>* used, bool anchor_used,
+                       const EventRef& anchor_ref, int anchor_port) {
+  if (tuple_.size() == n_) {
+    if (anchor_used) EmitComposite(refs_, ports_);
     return;
   }
+  const Event& anchor = *anchor_ref;
   // Pruning: if the anchor has not been placed yet, it must still fit
   // after the current prefix (strictly increasing Vs).
-  const Time prev_vs = tuple->empty() ? kMinTime : tuple->back()->vs;
+  const Time prev_vs = tuple_.empty() ? kMinTime : tuple_.back()->vs;
   if (!anchor_used && !(*used)[anchor_port] && anchor.vs <= prev_vs) {
     return;  // the anchor can no longer be placed
   }
 
-  auto try_candidate = [&](const Event& candidate, int port,
+  auto try_candidate = [&](const EventRef& ref, int port,
                            bool is_anchor) -> bool {
-    if (!tuple->empty()) {
-      if (candidate.vs <= tuple->back()->vs) return false;
-      if (candidate.vs - tuple->front()->vs > scope_) return false;
+    const Event& candidate = *ref;
+    if (!tuple_.empty()) {
+      if (candidate.vs <= tuple_.back()->vs) return false;
+      if (candidate.vs - tuple_.front()->vs > scope_) return false;
     }
     (*used)[port] = true;
-    tuple->push_back(&candidate);
-    ports->push_back(port);
-    if (predicate_(*tuple, *ports)) {
-      Extend(tuple, ports, used, anchor_used || is_anchor, anchor,
-             anchor_port);
+    tuple_.push_back(&candidate);
+    refs_.push_back(&ref);
+    ports_.push_back(port);
+    if (predicate_(tuple_, ports_)) {
+      Extend(used, anchor_used || is_anchor, anchor_ref, anchor_port);
     }
-    tuple->pop_back();
-    ports->pop_back();
+    tuple_.pop_back();
+    refs_.pop_back();
+    ports_.pop_back();
     (*used)[port] = false;
     return true;
   };
@@ -63,32 +65,32 @@ void AtLeastOp::Extend(std::vector<const Event*>* tuple,
       // must involve it); other events of this port may also participate
       // at other... no: one event per chosen port, so the anchor port
       // contributes exactly the anchor.
-      try_candidate(anchor, p, /*is_anchor=*/true);
+      try_candidate(anchor_ref, p, /*is_anchor=*/true);
       continue;
     }
-    Time lo = tuple->empty() ? kMinTime : TimeAdd(tuple->back()->vs, 1);
+    Time lo = tuple_.empty() ? kMinTime : TimeAdd(tuple_.back()->vs, 1);
     const Store& s = store(p);
     const SelectionMode mode = ModeOf(p).selection;
     auto begin = s.lower_bound(std::make_pair(lo, EventId{0}));
     if (mode == SelectionMode::kLast) {
-      Time hi = tuple->empty()
+      Time hi = tuple_.empty()
                     ? kInfinity
-                    : TimeAdd(TimeAdd(tuple->front()->vs, scope_), 1);
+                    : TimeAdd(TimeAdd(tuple_.front()->vs, scope_), 1);
       auto end = hi == kInfinity
                      ? s.end()
                      : s.lower_bound(std::make_pair(hi, EventId{0}));
       while (end != begin) {
         --end;
-        if (end->second.id == anchor.id) continue;
+        if (end->second->id == anchor.id) continue;
         if (try_candidate(end->second, p, false)) break;
       }
       continue;
     }
     for (auto it = begin; it != s.end(); ++it) {
-      if (!tuple->empty() && it->first.first - tuple->front()->vs > scope_) {
+      if (!tuple_.empty() && it->first.first - tuple_.front()->vs > scope_) {
         break;
       }
-      if (it->second.id == anchor.id) continue;
+      if (it->second->id == anchor.id) continue;
       bool admissible = try_candidate(it->second, p, false);
       if (admissible && mode == SelectionMode::kFirst) break;
     }

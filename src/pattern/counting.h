@@ -18,12 +18,11 @@ class AtLeastOp : public PatternOpBase {
             std::string name = "atleast");
 
  protected:
-  Status OnNewCandidate(const Event& e, int port) override;
+  Status OnNewCandidate(const EventRef& e, int port) override;
 
  private:
-  void Extend(std::vector<const Event*>* tuple, std::vector<int>* ports,
-              std::vector<bool>* used, bool anchor_used, const Event& anchor,
-              int anchor_port);
+  void Extend(std::vector<bool>* used, bool anchor_used,
+              const EventRef& anchor, int anchor_port);
 
   size_t n_;
 };

@@ -11,30 +11,44 @@ NegationCore::NegationCore(Duration blocking, Duration blocker_retention,
       predicate_(predicate ? std::move(predicate) : TrueNegationPredicate()),
       callbacks_(std::move(callbacks)) {}
 
-std::vector<const Event*> NegationCore::TuplePtrs(const Candidate& c) const {
-  std::vector<const Event*> ptrs;
-  ptrs.reserve(c.tuple.size());
-  for (const Event& e : c.tuple) ptrs.push_back(&e);
-  return ptrs;
+std::vector<EventRef> NegationTuple(const Event& e) {
+  if (!e.cbt.empty()) return e.cbt;
+  return {std::make_shared<const Event>(e)};
+}
+
+const std::vector<const Event*>& NegationCore::TuplePtrs(
+    const Candidate& c) const {
+  tuple_scratch_.clear();
+  for (const EventRef& e : c.tuple) tuple_scratch_.push_back(e.get());
+  return tuple_scratch_;
 }
 
 bool NegationCore::IsBlocked(const Candidate& c) const {
   if (c.block_lo >= c.block_hi) return false;
   auto begin = blockers_.lower_bound(
       std::make_pair(TimeAdd(c.block_lo, 1), EventId{0}));
-  std::vector<const Event*> tuple = TuplePtrs(c);
+  const std::vector<const Event*>* tuple = nullptr;
   for (auto it = begin; it != blockers_.end(); ++it) {
     if (it->first.first >= c.block_hi) break;
-    if (predicate_(tuple, it->second)) return true;
+    if (tuple == nullptr) tuple = &TuplePtrs(c);
+    if (predicate_(*tuple, it->second)) return true;
   }
   return false;
 }
 
 void NegationCore::AddCandidate(EventId key, Event output,
-                                std::vector<Event> tuple, Time block_lo,
+                                std::vector<EventRef> tuple, Time block_lo,
                                 Time block_hi, Time certain_at,
                                 Time resolve_at) {
-  Candidate c;
+  Duration window = block_hi == kInfinity || block_lo == kMinTime
+                        ? kInfinity
+                        : block_hi - block_lo;
+  max_window_ = max_window_ == kInfinity ? kInfinity
+                                         : std::max(max_window_, window);
+
+  auto [it, inserted] = candidates_.try_emplace(key);
+  if (!inserted) return;  // duplicate key: first wins
+  Candidate& c = it->second;
   c.key = key;
   c.output = std::move(output);
   c.tuple = std::move(tuple);
@@ -42,18 +56,9 @@ void NegationCore::AddCandidate(EventId key, Event output,
   c.block_hi = block_hi;
   c.certain_at = certain_at;
   c.resolve_at = resolve_at;
-
-  Duration window = block_hi == kInfinity || block_lo == kMinTime
-                        ? kInfinity
-                        : block_hi - block_lo;
-  max_window_ = max_window_ == kInfinity ? kInfinity
-                                         : std::max(max_window_, window);
-
-  auto [it, inserted] = candidates_.emplace(key, std::move(c));
-  if (!inserted) return;  // duplicate key: first wins
-  by_block_lo_.emplace(it->second.block_lo, key);
-  by_resolve_at_.emplace(it->second.resolve_at, key);
-  by_certain_at_.emplace(it->second.certain_at, key);
+  by_block_lo_.emplace(block_lo, key);
+  by_resolve_at_.emplace(resolve_at, key);
+  by_certain_at_.emplace(certain_at, key);
   // It may already be due.
   Advance(last_watermark_, last_guarantee_);
 }
@@ -68,17 +73,16 @@ void NegationCore::Resolve(Candidate* c) {
 }
 
 void NegationCore::EmitCandidate(Candidate* c) {
-  Event out = c->output;
   if (c->generation > 0) {
     // Re-emission after a full retraction: fresh identity (Section 4's
-    // remove-and-reinsert protocol).
-    out.id = IdGen({c->output.id, c->generation});
-    out.k = out.id;
+    // remove-and-reinsert protocol). c->output keeps the identity
+    // actually emitted.
+    c->output.id = IdGen({c->output.id, c->generation});
+    c->output.k = c->output.id;
   }
   ++c->generation;
   c->state = State::kEmitted;
-  c->output = out;  // remember the identity actually emitted
-  callbacks_.emit_insert(std::move(out));
+  callbacks_.emit_insert(c->output);
 }
 
 void NegationCore::AddBlocker(const Event& e) {
@@ -271,7 +275,8 @@ void NegationCore::Snapshot(io::BinaryWriter* w) const {
   for (const auto& [key, c] : sorted) {
     w->PutU64(c->key);
     io::WriteEvent(w, c->output);
-    io::WriteEvents(w, c->tuple);
+    w->PutU64(c->tuple.size());
+    for (const EventRef& e : c->tuple) io::WriteEvent(w, *e);
     w->PutTime(c->block_lo);
     w->PutTime(c->block_hi);
     w->PutTime(c->certain_at);
@@ -297,7 +302,11 @@ Status NegationCore::Restore(io::BinaryReader* r) {
     Candidate c;
     CEDR_ASSIGN_OR_RETURN(c.key, r->GetU64());
     CEDR_ASSIGN_OR_RETURN(c.output, io::ReadEvent(r));
-    CEDR_ASSIGN_OR_RETURN(c.tuple, io::ReadEvents(r));
+    CEDR_ASSIGN_OR_RETURN(std::vector<Event> tuple, io::ReadEvents(r));
+    c.tuple.reserve(tuple.size());
+    for (Event& e : tuple) {
+      c.tuple.push_back(std::make_shared<const Event>(std::move(e)));
+    }
     CEDR_ASSIGN_OR_RETURN(c.block_lo, r->GetTime());
     CEDR_ASSIGN_OR_RETURN(c.block_hi, r->GetTime());
     CEDR_ASSIGN_OR_RETURN(c.certain_at, r->GetTime());
@@ -350,22 +359,14 @@ Status UnlessOp::ProcessInsert(const Event& e, int port) {
     core_->AddBlocker(e);
     return Status::OK();
   }
+  // The predicate tuple exposes e's contributors so injected WHERE
+  // predicates can correlate them with the negated event.
+  std::vector<EventRef> tuple = NegationTuple(e);
   // The UNLESS output row of the operator table: e1's identity and
   // payload with lifetime [e1.Vs, e1.Vs + w).
   Event output = e;
   output.ve = TimeAdd(e.vs, scope_);
-  if (output.cbt.empty()) {
-    output.cbt = {std::make_shared<const Event>(e)};
-  }
-  // The predicate tuple exposes e's contributors so injected WHERE
-  // predicates can correlate them with the negated event.
-  std::vector<Event> tuple;
-  if (!e.cbt.empty()) {
-    tuple.reserve(e.cbt.size());
-    for (const EventRef& c : e.cbt) tuple.push_back(*c);
-  } else {
-    tuple.push_back(e);
-  }
+  if (output.cbt.empty()) output.cbt = tuple;
   Duration optimistic_delay = std::min(scope_, spec().max_blocking);
   core_->AddCandidate(e.id, std::move(output), std::move(tuple),
                       /*block_lo=*/e.vs,
@@ -437,16 +438,9 @@ Status UnlessPrimeOp::ProcessInsert(const Event& e, int port) {
   output.vs = std::max(e.vs, TimeAdd(anchor->vs, scope_));
   output.ve = TimeAdd(e.vs, scope_);
   if (output.valid().empty()) return Status::OK();
-  std::vector<Event> tuple;
-  if (!e.cbt.empty()) {
-    tuple.reserve(e.cbt.size());
-    for (const EventRef& c : e.cbt) tuple.push_back(*c);
-  } else {
-    tuple.push_back(e);
-  }
   Time window_end = TimeAdd(anchor->vs, scope_);
   Duration optimistic_delay = std::min(scope_, spec().max_blocking);
-  core_->AddCandidate(e.id, std::move(output), std::move(tuple),
+  core_->AddCandidate(e.id, std::move(output), NegationTuple(e),
                       /*block_lo=*/anchor->vs,
                       /*block_hi=*/window_end,
                       /*certain_at=*/window_end,
@@ -497,19 +491,14 @@ Status NotSequenceOp::ProcessInsert(const Event& e, int port) {
   // Negation window: strictly between the first and last contributor.
   Time lo = e.vs;
   Time hi = e.vs;
-  std::vector<Event> tuple;
   if (!e.cbt.empty()) {
     lo = e.cbt.front()->vs;
     hi = e.cbt.back()->vs;
-    tuple.reserve(e.cbt.size());
-    for (const EventRef& c : e.cbt) tuple.push_back(*c);
-  } else {
-    tuple.push_back(e);
   }
   Duration blocking = spec().max_blocking;
   Time resolve_at =
       blocking == kInfinity ? kInfinity : TimeAdd(e.vs, blocking);
-  core_->AddCandidate(e.id, e, std::move(tuple), lo, hi,
+  core_->AddCandidate(e.id, e, NegationTuple(e), lo, hi,
                       /*certain_at=*/e.vs, resolve_at);
   core_->Advance(max_watermark(), input_guarantee());
   return Status::OK();

@@ -46,8 +46,9 @@ class NegationCore {
   /// (block_lo, block_hi) in Vs. `key` identifies it for cancellation
   /// (the positive contributor's id). `certain_at` is the guarantee
   /// needed for finality; `resolve_at` the watermark for optimistic
-  /// emission.
-  void AddCandidate(EventId key, Event output, std::vector<Event> tuple,
+  /// emission. `tuple` is the predicate tuple: the positive contributor
+  /// lineage, shared with the arriving event.
+  void AddCandidate(EventId key, Event output, std::vector<EventRef> tuple,
                     Time block_lo, Time block_hi, Time certain_at,
                     Time resolve_at);
 
@@ -81,7 +82,7 @@ class NegationCore {
   struct Candidate {
     EventId key = 0;
     Event output;
-    std::vector<Event> tuple;
+    std::vector<EventRef> tuple;
     Time block_lo = 0;
     Time block_hi = 0;
     Time certain_at = 0;
@@ -93,7 +94,9 @@ class NegationCore {
   bool IsBlocked(const Candidate& c) const;
   void Resolve(Candidate* c);
   void EmitCandidate(Candidate* c);
-  std::vector<const Event*> TuplePtrs(const Candidate& c) const;
+  /// The candidate's tuple as predicates see it, in a reused scratch
+  /// vector (valid until the next call).
+  const std::vector<const Event*>& TuplePtrs(const Candidate& c) const;
   /// Applies fn to every candidate whose window contains vs.
   template <typename Fn>
   void ForEachAffected(Time vs, Fn fn);
@@ -112,7 +115,12 @@ class NegationCore {
   Time last_watermark_ = kMinTime;
   Time last_guarantee_ = kMinTime;
   Time trim_frontier_ = kMinTime;
+  mutable std::vector<const Event*> tuple_scratch_;
 };
+
+/// The predicate tuple of a positive input event: its contributor
+/// lineage, or the event itself (one fresh ref) when it is primitive.
+std::vector<EventRef> NegationTuple(const Event& e);
 
 /// UNLESS(E1, E2, w): port 0 carries E1 outputs, port 1 carries E2.
 /// Output lifetime [e1.Vs, e1.Vs + w); negation window (e1.Vs, e1.Vs+w).

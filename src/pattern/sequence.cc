@@ -32,8 +32,12 @@ const ScMode& PatternOpBase::ModeOf(int port) const {
 
 Status PatternOpBase::ProcessInsert(const Event& e, int port) {
   if (e.valid().empty()) return Status::OK();
-  stores_[port].emplace(std::make_pair(e.vs, e.id), e);
-  Status st = OnNewCandidate(e, port);
+  // The one copy of a contributor: the store and every composite built
+  // from it share this ref. A duplicate (vs, id) keeps the stored ref
+  // but still enumerates with the arrival.
+  EventRef ref = std::make_shared<const Event>(e);
+  stores_[port].emplace(std::make_pair(e.vs, e.id), ref);
+  Status st = OnNewCandidate(ref, port);
   // Consumption is applied after enumeration so one arrival sees a
   // consistent candidate snapshot.
   for (const auto& [p, id] : pending_consumption_) {
@@ -56,8 +60,12 @@ Status PatternOpBase::ProcessRetract(const Event& e, Time new_ve, int port) {
     found = true;
     if (full_removal) {
       stores_[port].erase(it);
-    } else {
-      it->second.ve = std::min(it->second.ve, new_ve);
+    } else if (new_ve < it->second->ve) {
+      // Copy-on-write: composites already emitted share the old ref and
+      // keep the lifetime they were emitted with.
+      Event shrunk = *it->second;
+      shrunk.ve = new_ve;
+      it->second = std::make_shared<const Event>(std::move(shrunk));
     }
   }
   if (full_removal) {
@@ -88,15 +96,19 @@ void PatternOpBase::TrimState(Time horizon) {
   emitted_.Trim(horizon);
 }
 
-void PatternOpBase::EmitComposite(const std::vector<const Event*>& tuple,
+void PatternOpBase::EmitComposite(const std::vector<const EventRef*>& refs,
                                   const std::vector<int>& ports) {
-  Event composite = MakeCompositeEvent(tuple, scope_, output_schema_);
+  std::vector<EventRef> lineage;
+  lineage.reserve(refs.size());
+  for (const EventRef* r : refs) lineage.push_back(*r);
+  Event composite =
+      MakeCompositeEvent(std::move(lineage), scope_, output_schema_);
   // A tuple spanning exactly the scope has an empty lifetime: no match.
   if (composite.valid().empty()) return;
   emitted_.Record(composite);
-  for (size_t i = 0; i < tuple.size(); ++i) {
+  for (size_t i = 0; i < refs.size(); ++i) {
     if (ModeOf(ports[i]).consumption == ConsumptionMode::kConsume) {
-      pending_consumption_.emplace_back(ports[i], tuple[i]->id);
+      pending_consumption_.emplace_back(ports[i], (*refs[i])->id);
     }
   }
   EmitInsert(std::move(composite));
@@ -106,7 +118,7 @@ void PatternOpBase::SnapshotState(io::BinaryWriter* w) const {
   w->PutU64(stores_.size());
   for (const Store& s : stores_) {
     w->PutU64(s.size());
-    for (const auto& [key, e] : s) io::WriteEvent(w, e);
+    for (const auto& [key, e] : s) io::WriteEvent(w, *e);
   }
   w->PutU64(pending_consumption_.size());
   for (const auto& [port, id] : pending_consumption_) {
@@ -127,7 +139,7 @@ Status PatternOpBase::RestoreState(io::BinaryReader* r) {
     for (uint64_t i = 0; i < n; ++i) {
       CEDR_ASSIGN_OR_RETURN(Event e, io::ReadEvent(r));
       auto key = std::make_pair(e.vs, e.id);
-      s.emplace(key, std::move(e));
+      s.emplace(key, std::make_shared<const Event>(std::move(e)));
     }
   }
   CEDR_ASSIGN_OR_RETURN(uint64_t num_pending, r->GetU64());
@@ -151,49 +163,53 @@ SequenceOp::SequenceOp(int num_inputs, Duration scope,
                     std::move(sc_modes), std::move(output_schema), spec,
                     std::move(name)) {}
 
-Status SequenceOp::OnNewCandidate(const Event& e, int port) {
-  std::vector<const Event*> tuple;
-  std::vector<int> ports;
-  Extend(&tuple, &ports, /*stage=*/0, e, port);
+Status SequenceOp::OnNewCandidate(const EventRef& e, int port) {
+  tuple_.clear();
+  refs_.clear();
+  ports_.clear();
+  Extend(/*stage=*/0, e, port);
   return Status::OK();
 }
 
-void SequenceOp::Extend(std::vector<const Event*>* tuple,
-                        std::vector<int>* ports, int stage,
-                        const Event& anchor, int anchor_port) {
+void SequenceOp::Extend(int stage, const EventRef& anchor_ref,
+                        int anchor_port) {
   const int k = num_inputs();
   if (stage == k) {
-    EmitComposite(*tuple, *ports);
+    EmitComposite(refs_, ports_);
     return;
   }
+  const Event& anchor = *anchor_ref;
 
-  auto try_candidate = [&](const Event& candidate) -> bool {
-    if (!tuple->empty()) {
-      if (candidate.vs <= tuple->back()->vs) return false;
-      if (candidate.vs - tuple->front()->vs > scope_) return false;
+  auto try_candidate = [&](const EventRef& ref) -> bool {
+    const Event& candidate = *ref;
+    if (!tuple_.empty()) {
+      if (candidate.vs <= tuple_.back()->vs) return false;
+      if (candidate.vs - tuple_.front()->vs > scope_) return false;
     }
     if (stage < anchor_port) {
       if (candidate.vs >= anchor.vs) return false;
       if (anchor.vs - candidate.vs > scope_) return false;
     }
-    tuple->push_back(&candidate);
-    ports->push_back(stage);
-    if (predicate_(*tuple, *ports)) {
-      Extend(tuple, ports, stage + 1, anchor, anchor_port);
+    tuple_.push_back(&candidate);
+    refs_.push_back(&ref);
+    ports_.push_back(stage);
+    if (predicate_(tuple_, ports_)) {
+      Extend(stage + 1, anchor_ref, anchor_port);
     }
-    tuple->pop_back();
-    ports->pop_back();
+    tuple_.pop_back();
+    refs_.pop_back();
+    ports_.pop_back();
     return true;
   };
 
   if (stage == anchor_port) {
-    try_candidate(anchor);
+    try_candidate(anchor_ref);
     return;
   }
 
   // Range of admissible Vs in this port's store.
   Time lo = kMinTime;
-  if (!tuple->empty()) lo = std::max(lo, TimeAdd(tuple->back()->vs, 1));
+  if (!tuple_.empty()) lo = std::max(lo, TimeAdd(tuple_.back()->vs, 1));
   if (stage < anchor_port && scope_ != kInfinity) {
     lo = std::max(lo, TimeSub(anchor.vs, scope_));
   }
@@ -206,8 +222,8 @@ void SequenceOp::Extend(std::vector<const Event*>* tuple,
     // upper bound on Vs).
     Time hi = kInfinity;
     if (stage < anchor_port) hi = anchor.vs;
-    if (!tuple->empty()) {
-      hi = std::min(hi, TimeAdd(TimeAdd(tuple->front()->vs, scope_), 1));
+    if (!tuple_.empty()) {
+      hi = std::min(hi, TimeAdd(TimeAdd(tuple_.front()->vs, scope_), 1));
     }
     auto end = hi == kInfinity ? s.end()
                                : s.lower_bound(std::make_pair(hi, EventId{0}));
@@ -220,7 +236,7 @@ void SequenceOp::Extend(std::vector<const Event*>* tuple,
 
   for (auto it = begin; it != s.end(); ++it) {
     if (stage < anchor_port && it->first.first >= anchor.vs) break;
-    if (!tuple->empty() && it->first.first - tuple->front()->vs > scope_) {
+    if (!tuple_.empty() && it->first.first - tuple_.front()->vs > scope_) {
       break;
     }
     bool admissible = try_candidate(it->second);

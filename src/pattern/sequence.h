@@ -45,16 +45,20 @@ class PatternOpBase : public Operator {
 
   /// Enumerate and emit the new matches created by `e` arriving on
   /// `port`. Called after `e` has been stored.
-  virtual Status OnNewCandidate(const Event& e, int port) = 0;
+  virtual Status OnNewCandidate(const EventRef& e, int port) = 0;
 
-  /// Emits a composite built from `tuple`, records lineage, applies
-  /// consumption modes.
-  void EmitComposite(const std::vector<const Event*>& tuple,
+  /// Emits a composite whose lineage shares the contributor refs
+  /// `refs`, records it, applies consumption modes.
+  void EmitComposite(const std::vector<const EventRef*>& refs,
                      const std::vector<int>& ports);
 
   const ScMode& ModeOf(int port) const;
 
-  using Store = std::map<std::pair<Time, EventId>, Event>;
+  /// Contributors are held as shared immutable refs: stored once on
+  /// arrival, then shared by every composite's lineage. A partial
+  /// retraction replaces the entry with a fresh ref (copy-on-write), so
+  /// lineage already emitted keeps the lifetime it was emitted with.
+  using Store = std::map<std::pair<Time, EventId>, EventRef>;
   Store& store(int port) { return stores_[port]; }
   const Store& store(int port) const { return stores_[port]; }
 
@@ -63,6 +67,12 @@ class PatternOpBase : public Operator {
   ScModes sc_modes_;
   SchemaPtr output_schema_;
   CompositeIndex emitted_;
+
+  /// Enumeration scratch reused across arrivals: the tuple bound so far
+  /// (as predicates see it), its store refs, and its input ports.
+  std::vector<const Event*> tuple_;
+  std::vector<const EventRef*> refs_;
+  std::vector<int> ports_;
 
  private:
   std::vector<Store> stores_;
@@ -78,11 +88,10 @@ class SequenceOp : public PatternOpBase {
              std::string name = "sequence");
 
  protected:
-  Status OnNewCandidate(const Event& e, int port) override;
+  Status OnNewCandidate(const EventRef& e, int port) override;
 
  private:
-  void Extend(std::vector<const Event*>* tuple, std::vector<int>* ports,
-              int stage, const Event& anchor, int anchor_port);
+  void Extend(int stage, const EventRef& anchor, int anchor_port);
 };
 
 }  // namespace cedr

@@ -48,8 +48,11 @@ PatternTuplePredicate MakeNodePredicate(
           child_offsets = std::move(child_offsets),
           width](const std::vector<const Event*>& tuple,
                  const std::vector<int>& ports) {
-    std::vector<const Event*> flat(static_cast<size_t>(width), nullptr);
-    std::vector<const Event*> leaves;
+    // Per-thread scratch: a plan's operators may run on pool workers,
+    // and evaluation never re-enters a predicate.
+    thread_local std::vector<const Event*> flat;
+    thread_local std::vector<const Event*> leaves;
+    flat.assign(static_cast<size_t>(width), nullptr);
     for (size_t i = 0; i < tuple.size() && i < ports.size(); ++i) {
       leaves.clear();
       FlattenInto(tuple[i], &leaves);
@@ -73,7 +76,8 @@ NegationPredicate MakeNodeNegationPredicate(
   comparisons = Rebase(std::move(comparisons), flat_lo);
   return [comparisons = std::move(comparisons), negated_marker](
              const std::vector<const Event*>& tuple, const Event& negated) {
-    std::vector<const Event*> flat;
+    thread_local std::vector<const Event*> flat;
+    flat.clear();
     for (const Event* e : tuple) FlattenInto(e, &flat);
     for (const AttributeComparison& c : comparisons) {
       if (!c.EvaluateWithNegated(flat, negated, negated_marker)) return false;

@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include "denotation/patterns.h"
+#include "engine/sink.h"
+#include "io/serde.h"
 #include "testing/helpers.h"
 #include "workload/disorder.h"
 
@@ -127,6 +129,76 @@ TEST(SequenceOpTest, LastSelectionPicksLatest) {
   EventList ideal = result.Ideal();
   ASSERT_EQ(ideal.size(), 1u);
   EXPECT_EQ(ideal[0].cbt[0]->id, 2u);  // latest A
+}
+
+// Operator output serialized message by message, for byte comparison.
+std::string OutputBytes(const CollectingSink& sink) {
+  io::BinaryWriter w;
+  for (const Message& m : sink.messages()) io::WriteMessage(&w, m);
+  return w.Take();
+}
+
+TEST(SequenceOpTest, PartialRetractionIsCopyOnWrite) {
+  // a's lifetime shrinks between two matches that use it: the first
+  // composite's lineage keeps the lifetime it was emitted with, the
+  // second carries the shrunk one.
+  Event a = MakeEvent(1, 1, 100, KV(0, 1));
+  std::vector<std::pair<int, Message>> feed = {
+      {0, InsertOf(a, 1)},
+      {1, InsertOf(E(2, 3), 2)},
+      {0, RetractOf(a, 50, 3)},
+      {1, InsertOf(E(3, 5), 4)},
+  };
+  // Runs the feed, snapshotting and restoring into a fresh operator
+  // before step `split` (no restore when split > feed.size()).
+  auto run = [&](size_t split) {
+    auto op = std::make_unique<SequenceOp>(2, 10, nullptr, ScModes{}, nullptr,
+                                           ConsistencySpec::Middle());
+    auto sink = std::make_unique<CollectingSink>("sink");
+    op->ConnectTo(sink.get(), 0);
+    for (size_t i = 0; i < feed.size(); ++i) {
+      if (i == split) {
+        io::BinaryWriter op_bytes;
+        io::BinaryWriter sink_bytes;
+        op->Snapshot(&op_bytes);
+        sink->Snapshot(&sink_bytes);
+        op = std::make_unique<SequenceOp>(2, 10, nullptr, ScModes{}, nullptr,
+                                          ConsistencySpec::Middle());
+        sink = std::make_unique<CollectingSink>("sink");
+        op->ConnectTo(sink.get(), 0);
+        io::BinaryReader op_reader(op_bytes.bytes());
+        EXPECT_TRUE(op->Restore(&op_reader).ok());
+        io::BinaryReader sink_reader(sink_bytes.bytes());
+        EXPECT_TRUE(sink->Restore(&sink_reader).ok());
+      }
+      EXPECT_TRUE(op->Push(feed[i].first, feed[i].second).ok());
+    }
+    for (int p = 0; p < 2; ++p) {
+      EXPECT_TRUE(op->Push(p, CtiOf(kInfinity, 10)).ok());
+    }
+    EXPECT_TRUE(op->Drain().ok());
+    EXPECT_TRUE(sink->Drain().ok());
+    return sink;
+  };
+
+  std::unique_ptr<CollectingSink> uninterrupted = run(feed.size() + 1);
+  std::vector<Event> composites;
+  for (const Message& m : uninterrupted->messages()) {
+    if (m.kind == MessageKind::kInsert) composites.push_back(m.event);
+  }
+  ASSERT_EQ(composites.size(), 2u);
+  ASSERT_EQ(composites[0].cbt.size(), 2u);
+  ASSERT_EQ(composites[1].cbt.size(), 2u);
+  EXPECT_EQ(composites[0].cbt[0]->id, a.id);
+  EXPECT_EQ(composites[0].cbt[0]->ve, 100);
+  EXPECT_EQ(composites[1].cbt[0]->id, a.id);
+  EXPECT_EQ(composites[1].cbt[0]->ve, 50);
+  EXPECT_EQ(uninterrupted->retracts(), 0u);
+
+  const std::string want = OutputBytes(*uninterrupted);
+  for (size_t split = 0; split <= feed.size(); ++split) {
+    EXPECT_EQ(OutputBytes(*run(split)), want) << "split " << split;
+  }
 }
 
 class SequenceDisorderTest : public ::testing::TestWithParam<uint64_t> {};
